@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short race vet lint lint-fix cover fuzz verify verify-short golden bench bench-baseline bench-diff obs-overhead loadtest slo-report scale-sweep
+.PHONY: build test test-short race vet lint lint-fix cover fuzz verify verify-short golden bench bench-baseline bench-diff obs-overhead loadtest slo-report scale-sweep loc
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,11 @@ loadtest:
 # plus the flight-recorder reject summary and an overall verdict.
 slo-report:
 	$(GO) run ./cmd/spaceload -seed 42 -duration 10m -days 10 -slo-report
+
+# Non-test Go line count, the tracked code-size number: every *.go file
+# except tests, the perfbench harness and testdata fixtures.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path '*/testdata/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 test:
 	$(GO) test ./...

@@ -6,11 +6,18 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"cosmicdance/internal/artifact"
 	"cosmicdance/internal/testkit"
 )
+
+// sharedPipe is the memory-only pipeline the substrate tests share, so the
+// seed-42 fleet and dataset are built once per test binary instead of once
+// per render. Tests that pin a property of a fresh build (the width sweep,
+// warm-equals-cold) keep their own pipelines.
+var sharedPipe = sync.OnceValue(func() *artifact.Pipeline { return artifact.NewPipeline(nil) })
 
 // TestWeatherOnlyFigures renders the figures that need no fleet simulation
 // (fast enough for the unit-test tier) and checks their headline content.
@@ -42,7 +49,7 @@ func TestFullRun(t *testing.T) {
 		t.Skip("full substrate build in -short mode")
 	}
 	var buf bytes.Buffer
-	if err := run(context.Background(), &buf, 0, 42, 0, artifact.NewPipeline(nil)); err != nil {
+	if err := run(context.Background(), &buf, 0, 42, 0, sharedPipe()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -55,7 +62,7 @@ func TestFullRun(t *testing.T) {
 			t.Errorf("output missing %q", marker)
 		}
 	}
-	if err := runExtensions(context.Background(), &buf, 42, 0, artifact.NewPipeline(nil)); err != nil {
+	if err := runExtensions(context.Background(), &buf, 42, 0, sharedPipe()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "latitude-band exposure") ||
@@ -72,7 +79,7 @@ func TestCSVExport(t *testing.T) {
 	csvOut = dir
 	defer func() { csvOut = "" }()
 	var buf bytes.Buffer
-	if err := run(context.Background(), &buf, 4, 42, 0, artifact.NewPipeline(nil)); err != nil {
+	if err := run(context.Background(), &buf, 4, 42, 0, sharedPipe()); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fig04a.csv", "fig04b.csv"} {

@@ -4,11 +4,12 @@
 //
 // Usage:
 //
-//	tlegen [-fleet paper|may2024|small] [-seed S] [-names] [-out FILE]
+//	tlegen [-fleet paper|may2024|small] [-seed S] [-names] [-format tle|binary] [-out FILE]
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,23 +22,32 @@ import (
 	"cosmicdance/internal/spaceweather"
 )
 
-// logger keeps status and errors structured and on stderr; stdout is
-// reserved for the generated archive.
-var logger = obs.NewLogger(os.Stderr, slog.LevelInfo)
-
-func fatal(err error) {
-	logger.Error("tlegen failed", "err", err)
-	os.Exit(1)
+func main() {
+	err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		obs.NewLogger(os.Stderr, slog.LevelInfo).Error("tlegen failed", "err", err)
+		os.Exit(1)
+	}
 }
 
-func main() {
-	ctx := context.Background()
-	fleet := flag.String("fleet", "small", "fleet preset: paper (4.5 y, ~2000 sats), may2024 (1 month, 5900 sats) or small (6 months, 40 sats)")
-	seed := flag.Int64("seed", 42, "simulation seed")
-	names := flag.Bool("names", false, "emit 3LE name lines")
-	format := flag.String("format", "tle", "output format: tle (text archive) or binary (compact COSM archive)")
-	out := flag.String("out", "", "write to this file instead of stdout")
-	flag.Parse()
+// run generates one archive with the given arguments, writing it to stdout
+// (or the -out file) and status to stderr. Every argument is validated before
+// the fleet is simulated or the -out file is created, so a usage error never
+// truncates an existing archive.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tlegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fleet := fs.String("fleet", "small", "fleet preset: paper (4.5 y, ~2000 sats), may2024 (1 month, 5900 sats) or small (6 months, 40 sats)")
+	seed := fs.Int64("seed", 42, "simulation seed")
+	names := fs.Bool("names", false, "emit 3LE name lines")
+	format := fs.String("format", "tle", "output format: tle (text archive) or binary (compact COSM archive)")
+	out := fs.String("out", "", "write to this file instead of stdout")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *format != "tle" && *format != "binary" {
+		return fmt.Errorf("unknown format %q", *format)
+	}
 
 	var (
 		cfg constellation.Config
@@ -55,40 +65,37 @@ func main() {
 		cfg = constellation.ResearchFleet(*seed, start, start.AddDate(0, 6, 0), 8)
 		wx = spaceweather.Paper2020to2024()
 	default:
-		fatal(fmt.Errorf("unknown fleet %q", *fleet))
+		return fmt.Errorf("unknown fleet %q", *fleet)
 	}
 	weather, err := spaceweather.Generate(wx)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	res, err := constellation.Run(ctx, cfg, weather)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	w := io.Writer(os.Stdout)
+	w := stdout
 	closeOut := func() error { return nil }
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		w = f
 		closeOut = f.Close
 	}
-	switch *format {
-	case "tle":
-		if err := res.WriteTLEs(w, *names); err != nil {
-			fatal(err)
-		}
-	case "binary":
-		if err := res.Save(w); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown format %q", *format))
+	if *format == "tle" {
+		err = res.WriteTLEs(w, *names)
+	} else {
+		err = res.Save(w)
 	}
-	if err := closeOut(); err != nil {
-		fatal(err)
+	if cerr := closeOut(); err == nil {
+		err = cerr
 	}
-	logger.Info("simulated archive", "satellites", len(res.Sats), "samples", len(res.Samples))
+	if err != nil {
+		return err
+	}
+	obs.NewLogger(stderr, slog.LevelInfo).Info("simulated archive", "satellites", len(res.Sats), "samples", len(res.Samples))
+	return nil
 }

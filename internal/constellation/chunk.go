@@ -11,17 +11,17 @@ import (
 	"cosmicdance/internal/units"
 )
 
-// Chunked execution slices a fleet into fixed-size satellite chunks and
-// simulates each chunk independently, so a 100k-satellite run never has to
-// hold the whole fleet (or its archive) in memory at once. The partition is
-// sound because the simulator was built for it: every satellite draws from
+// Chunked execution is the simulator's one execution strategy: the fleet is
+// sliced into fixed-size satellite chunks and each chunk is simulated
+// independently. The partition is sound because every satellite draws from
 // its own splitmix64 child stream keyed by catalog number, stepSat touches
 // only its own satellite, and the archive's sample order within an hour is
 // creation order — so a chunk, which owns a contiguous catalog range, can be
 // simulated alone and its hourly emissions spliced back in chunk order to
-// reproduce Run's output byte for byte. RunChunked proves that claim; the
-// streaming dataset build in internal/artifact consumes chunks one at a time
-// without ever merging the archives.
+// give the same archive at every chunk size. Run merges the chunks into one
+// Result; the streaming dataset build in internal/artifact consumes chunks
+// one at a time without ever merging the archives, so a 100k-satellite run
+// never has to hold the whole fleet (or its archive) in memory at once.
 
 // rosterEntry pins down one satellite's creation: which helper creates it,
 // at which processing hour, and with which resolved batch parameters. The
@@ -80,7 +80,7 @@ func PlanChunks(cfg Config, chunkSize int) (*ChunkPlan, error) {
 	for _, l := range launches {
 		h := launchHourFor(start, l.At)
 		if h >= cfg.Hours {
-			// Run's hourly loop never reaches this launch: it creates no
+			// The hourly loop never reaches this launch: it creates no
 			// satellites and consumes no catalog numbers. Launches are sorted
 			// by At, so every later launch is excluded too — exclusions form
 			// a suffix and catalog numbers stay contiguous.
@@ -105,8 +105,8 @@ func PlanChunks(cfg Config, chunkSize int) (*ChunkPlan, error) {
 	}, nil
 }
 
-// launchHourFor returns the hourly step at which Run processes a launch
-// scheduled at `at`: the smallest h ≥ 0 with start+h·hour ≥ at (launches are
+// launchHourFor returns the hourly step at which a launch scheduled at `at`
+// is processed: the smallest h ≥ 0 with start+h·hour ≥ at (launches are
 // handled at the top of each hourly step, before the physics).
 func launchHourFor(start, at time.Time) int {
 	if !at.After(start) {
@@ -151,17 +151,11 @@ func (p *ChunkPlan) RunChunk(ctx context.Context, chunk int, weather *dst.Index)
 	}
 	lo, hi := p.ChunkBounds(chunk)
 	st := &simState{
-		cfg:     p.cfg,
-		pool:    parallel.NewRunner(1), // parallelism lives at the chunk level
-		start:   p.start,
-		scripts: p.scripts,
-		result:  &Result{Start: p.start, Hours: p.cfg.Hours},
-	}
-	defer st.pool.Flush()
-	st.nextCatalog = p.firstCat + lo
-	st.stepFn = func(i int) error {
-		st.stepSat(st.sats[i], st.stepNow, st.stepD, st.stepStorm, st.stepDuck, st.stepIntensity)
-		return nil
+		cfg:         p.cfg,
+		start:       p.start,
+		scripts:     p.scripts,
+		nextCatalog: p.firstCat + lo,
+		result:      &Result{Start: p.start, Hours: p.cfg.Hours},
 	}
 
 	// Initial-fleet entries precede all launched entries in roster order, so
@@ -187,47 +181,60 @@ func (p *ChunkPlan) RunChunk(ctx context.Context, chunk int, weather *dst.Index)
 		}
 	}
 	st.finalize()
+	metricSimSats.Add(int64(len(st.result.Sats)))
+	metricSimSamples.Add(int64(len(st.result.Samples)))
 	return st.result, nil
 }
 
-// RunChunked is Run decomposed into chunks of chunkSize satellites fanned
-// out across cfg.Parallelism workers, with the per-chunk archives merged
-// back into one Result. The output is byte-identical to Run(cfg, weather)
-// at every (chunkSize, Parallelism) combination — that equivalence is the
-// contract the chunked streaming pipeline rests on, and the test matrix in
-// chunk_test.go enforces it.
-func RunChunked(ctx context.Context, cfg Config, weather *dst.Index, chunkSize int) (*Result, error) {
-	plan, err := PlanChunks(cfg, chunkSize)
-	if err != nil {
-		return nil, err
+// chunksPerWorker is how many chunks Run cuts per worker above width 1:
+// enough that uneven chunks (launch cohorts, early re-entries) even out
+// across workers, few enough that the per-chunk overhead stays negligible.
+const chunksPerWorker = 8
+
+// autoChunkSize is the chunk size Run uses for a fleet of total satellites
+// at the given worker width: the whole fleet as one chunk at width 1, about
+// chunksPerWorker chunks per worker above it.
+func autoChunkSize(total, workers int) int {
+	if workers > 1 {
+		total = (total + workers*chunksPerWorker - 1) / (workers * chunksPerWorker)
 	}
+	return max(total, 1)
+}
+
+// runChunked simulates every chunk of plan across its Parallelism workers
+// and merges the per-chunk archives back into one Result. The output is the
+// same at every (chunk size, Parallelism) combination — the contract the
+// chunked streaming pipeline rests on, enforced by the test matrix in
+// chunk_test.go.
+func runChunked(ctx context.Context, plan *ChunkPlan, weather *dst.Index) (*Result, error) {
 	n := plan.NumChunks()
 	results := make([]*Result, 0, n)
-	err = parallel.Stream(ctx, cfg.Parallelism, n,
+	err := parallel.Stream(ctx, plan.cfg.Parallelism, n,
 		func(i int) (*Result, error) { return plan.RunChunk(ctx, i, weather) },
 		func(i int, r *Result) error { results = append(results, r); return nil })
 	if err != nil {
 		return nil, err
 	}
-	out := plan.merge(results)
 	metricSimRuns.Inc()
-	metricSimSats.Add(int64(len(out.Sats)))
-	metricSimSamples.Add(int64(len(out.Samples)))
-	return out, nil
+	return plan.merge(results), nil
 }
 
-// merge splices per-chunk archives back into Run's global layout. Within an
-// hour Run emits samples in creation (catalog) order; each chunk owns a
+// merge splices per-chunk archives back into the whole-fleet layout. Within
+// an hour samples are in creation (catalog) order; each chunk owns a
 // contiguous catalog range, so walking the hours and draining each chunk's
 // samples for that hour in chunk order reproduces the global order exactly.
+// A single chunk already is the whole archive.
 func (p *ChunkPlan) merge(results []*Result) *Result {
+	if len(results) == 1 {
+		return results[0]
+	}
 	out := &Result{Start: p.start, Hours: p.cfg.Hours}
 	nSats, nSamples := 0, 0
 	for _, r := range results {
 		nSats += len(r.Sats)
 		nSamples += len(r.Samples)
 	}
-	//cosmiclint:allow fleetalloc merge materializes the whole-fleet Result by contract (byte-identical to Run); the streaming pipeline bypasses merge entirely
+	//cosmiclint:allow fleetalloc merge materializes the whole-fleet Result by contract (Run's output); the streaming pipeline bypasses merge entirely
 	out.Sats = make([]SatInfo, 0, nSats)
 	if nSamples > 0 {
 		out.Samples = make([]Sample, 0, nSamples)

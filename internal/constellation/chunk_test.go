@@ -6,6 +6,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"cosmicdance/internal/dst"
+	"cosmicdance/internal/obs"
 )
 
 // diffResults fails the test unless a and b are identical field for field.
@@ -64,20 +67,38 @@ func chunkTestConfig(seed int64, hours int) Config {
 	return cfg
 }
 
+// runChunkSize is Run at an explicit chunk size.
+func runChunkSize(ctx context.Context, cfg Config, weather *dst.Index, chunkSize int) (*Result, error) {
+	plan, err := PlanChunks(cfg, chunkSize)
+	if err != nil {
+		return nil, err
+	}
+	return runChunked(ctx, plan, weather)
+}
+
+// runSequential is the reference every chunked run is compared against: Run
+// at width 1, which simulates the whole fleet as one chunk.
+func runSequential(t *testing.T, cfg Config, weather *dst.Index) *Result {
+	t.Helper()
+	cfg.Parallelism = 1
+	res, err := Run(context.Background(), cfg, weather)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestRunChunkedEquivalence is the core partition-soundness proof: for every
-// chunk size, RunChunked reproduces Run exactly, samples and ground truth
-// both.
+// chunk size, the chunked run reproduces the sequential one exactly, samples
+// and ground truth both.
 func TestRunChunkedEquivalence(t *testing.T) {
 	hours := 24 * 20
 	weather := stormIndex(hours, 24*10, -250)
 	for _, seed := range []int64{7, 42} {
 		cfg := chunkTestConfig(seed, hours)
-		want, err := Run(context.Background(), cfg, weather)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := runSequential(t, cfg, weather)
 		for _, chunkSize := range []int{1, 7, 16, 37, 64, 1000} {
-			got, err := RunChunked(context.Background(), cfg, weather, chunkSize)
+			got, err := runChunkSize(context.Background(), cfg, weather, chunkSize)
 			if err != nil {
 				t.Fatalf("seed %d chunk %d: %v", seed, chunkSize, err)
 			}
@@ -95,7 +116,7 @@ func TestRunChunkedWidthInvariance(t *testing.T) {
 	var want *Result
 	for _, workers := range []int{1, 4, 8} {
 		cfg.Parallelism = workers
-		got, err := RunChunked(context.Background(), cfg, weather, 16)
+		got, err := runChunkSize(context.Background(), cfg, weather, 16)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -114,12 +135,9 @@ func TestRunChunkedResearchFleet(t *testing.T) {
 	end := simStart.AddDate(0, 4, 0)
 	cfg := ResearchFleet(3, start, end, 19)
 	weather := stormIndex(cfg.Hours, cfg.Hours/2, -300)
-	want, err := Run(context.Background(), cfg, weather)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runSequential(t, cfg, weather)
 	for _, chunkSize := range []int{13, 50} {
-		got, err := RunChunked(context.Background(), cfg, weather, chunkSize)
+		got, err := runChunkSize(context.Background(), cfg, weather, chunkSize)
 		if err != nil {
 			t.Fatalf("chunk %d: %v", chunkSize, err)
 		}
@@ -169,8 +187,8 @@ func TestPlanChunksValidation(t *testing.T) {
 	if _, err := PlanChunks(bad, 16); err == nil {
 		t.Error("Hours=0 accepted")
 	}
-	if _, err := RunChunked(context.Background(), bad, quietIndex(24), 16); err == nil {
-		t.Error("RunChunked accepted invalid config")
+	if _, err := Run(context.Background(), bad, quietIndex(24)); err == nil {
+		t.Error("Run accepted invalid config")
 	}
 	plan, err := PlanChunks(chunkTestConfig(1, 24), 16)
 	if err != nil {
@@ -192,7 +210,7 @@ func TestRunChunkedCancel(t *testing.T) {
 	cfg.Parallelism = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunChunked(ctx, cfg, quietIndex(cfg.Hours), 8)
+	_, err := runChunkSize(ctx, cfg, quietIndex(cfg.Hours), 8)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -213,10 +231,7 @@ func TestMegaFleetPreset(t *testing.T) {
 		t.Fatalf("MegaShells: %d shells, want %d", got, want)
 	}
 	weather := stormIndex(cfg.Hours, cfg.Hours/2, -350)
-	want, err := Run(context.Background(), cfg, weather)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runSequential(t, cfg, weather)
 	perShell := make(map[int]int)
 	for _, s := range want.Sats {
 		perShell[s.Shell]++
@@ -226,9 +241,43 @@ func TestMegaFleetPreset(t *testing.T) {
 			t.Errorf("shell %d (%s) unpopulated", i, cfg.Shells[i].Name)
 		}
 	}
-	got, err := RunChunked(context.Background(), cfg, weather, 128)
+	got, err := runChunkSize(context.Background(), cfg, weather, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	diffResults(t, "mega", want, got)
+}
+
+// TestRunFanOutGranularity pins Run's execution strategy: one parallel
+// batch per run (a stream of satellite chunks), however many hours it
+// simulates — never one fan-out per simulated hour.
+func TestRunFanOutGranularity(t *testing.T) {
+	if !obs.Default().Enabled() {
+		t.Skip("default metrics registry disabled")
+	}
+	batches := obs.Default().Counter("parallel_batches_total")
+	for _, days := range []int{3, 5} {
+		cfg := chunkTestConfig(42, 24*days)
+		cfg.Parallelism = 4
+		before := batches.Value()
+		if _, err := Run(context.Background(), cfg, quietIndex(cfg.Hours)); err != nil {
+			t.Fatal(err)
+		}
+		if got := batches.Value() - before; got != 1 {
+			t.Errorf("%d hours: parallel_batches_total moved by %d, want 1", cfg.Hours, got)
+		}
+	}
+}
+
+// TestAutoChunkSize pins the computed partition: the whole fleet as one
+// chunk at width 1, several chunks per worker above it.
+func TestAutoChunkSize(t *testing.T) {
+	for _, c := range []struct{ total, workers, want int }{
+		{0, 1, 1}, {1, 1, 1}, {2000, 1, 2000},
+		{0, 4, 1}, {5, 4, 1}, {2000, 2, 125}, {2001, 2, 126},
+	} {
+		if got := autoChunkSize(c.total, c.workers); got != c.want {
+			t.Errorf("autoChunkSize(%d, %d) = %d, want %d", c.total, c.workers, got, c.want)
+		}
+	}
 }

@@ -192,8 +192,8 @@ type SatInfo struct {
 }
 
 // sat is the mutable simulation state (internal). Each satellite owns its
-// RNG stream (seeded from the run seed and its catalog number) and is
-// touched by exactly one worker per step, so the struct needs no locking.
+// RNG stream (seeded from the run seed and its catalog number) and belongs
+// to exactly one chunk, so the struct needs no locking.
 type sat struct {
 	info        SatInfo
 	rng         *rand.Rand
@@ -215,9 +215,4 @@ type sat struct {
 	lifespanEnd  time.Time
 	raanRate     float64 // cached deg/hour
 	maRate       float64 // cached deg/hour
-
-	// pending buffers the sample emitted this step until the coordinator's
-	// ordered collection pass (see simState.step).
-	pending    Sample
-	hasPending bool
 }

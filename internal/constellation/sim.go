@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"time"
 
 	"cosmicdance/internal/atmosphere"
@@ -30,10 +29,11 @@ type Config struct {
 	Hours int
 	Seed  int64
 
-	// Parallelism bounds the worker pool the hourly physics step fans out
-	// on: 0 means one worker per CPU (GOMAXPROCS), 1 runs sequentially.
-	// Every satellite draws from its own RNG stream derived from (Seed,
-	// catalog number), so the result is bit-identical at every setting.
+	// Parallelism bounds the workers Run simulates satellite chunks on:
+	// 0 means one worker per CPU (GOMAXPROCS), 1 runs the whole fleet as
+	// one sequential chunk. Every satellite draws from its own RNG stream
+	// derived from (Seed, catalog number), so the result is bit-identical
+	// at every setting.
 	Parallelism int
 
 	Shells       []Shell
@@ -117,69 +117,24 @@ type Result struct {
 // Run simulates the constellation over cfg.Hours hourly steps, driven by the
 // Dst index (hours outside the index are treated as quiet).
 //
-// The hourly physics step fans out across satellites on a worker pool
-// bounded by cfg.Parallelism. Every satellite owns an RNG stream derived
-// from (cfg.Seed, catalog number), so the archive is bit-identical for every
-// worker count and every goroutine schedule: determinism is a property of
-// the decomposition, not of the scheduler.
+// Run executes the chunk plan: the fleet is partitioned into satellite
+// chunks that are simulated independently across cfg.Parallelism workers
+// and spliced back into one archive. At width 1 the whole fleet is a single
+// chunk, i.e. one sequential loop. Every satellite owns an RNG stream
+// derived from (cfg.Seed, catalog number), so the archive is bit-identical
+// for every worker count, chunk size and goroutine schedule: determinism is
+// a property of the decomposition, not of the scheduler.
 func Run(ctx context.Context, cfg Config, weather *dst.Index) (*Result, error) {
-	if err := validateConfig(cfg); err != nil {
+	plan, err := PlanChunks(cfg, 1)
+	if err != nil {
 		return nil, err
 	}
-	start := cfg.Start.UTC().Truncate(time.Hour)
-
-	launches := append([]Launch(nil), cfg.Launches...)
-	slices.SortStableFunc(launches, func(a, b Launch) int { return a.At.Compare(b.At) })
-
-	scripts := make(map[int][]ScriptedEvent)
-	for _, ev := range cfg.Scripted {
-		scripts[ev.Catalog] = append(scripts[ev.Catalog], ev)
-	}
-	for _, evs := range scripts {
-		slices.SortStableFunc(evs, func(a, b ScriptedEvent) int { return a.At.Compare(b.At) })
-	}
-
-	st := &simState{
-		cfg:     cfg,
-		pool:    parallel.NewRunner(cfg.Parallelism),
-		start:   start,
-		scripts: scripts,
-		result:  &Result{Start: start, Hours: cfg.Hours},
-	}
-	defer st.pool.Flush() // publish pool telemetry even on a failed run
-	st.nextCatalog = cfg.FirstCatalog
-	if st.nextCatalog == 0 {
-		st.nextCatalog = 44713
-	}
-	st.stepFn = func(i int) error {
-		st.stepSat(st.sats[i], st.stepNow, st.stepD, st.stepStorm, st.stepDuck, st.stepIntensity)
-		return nil
-	}
-	st.seedInitialFleet()
-
-	launchIdx := 0
-	for h := 0; h < cfg.Hours; h++ {
-		now := start.Add(time.Duration(h) * time.Hour)
-		d := units.NanoTesla(-10) // quiet default outside the index
-		if v, ok := weather.At(now); ok {
-			d = v
-		}
-		for launchIdx < len(launches) && !launches[launchIdx].At.After(now) {
-			st.launch(launches[launchIdx], now)
-			launchIdx++
-		}
-		if err := st.step(ctx, now, d); err != nil {
-			return nil, fmt.Errorf("constellation: step at %s: %w", now.Format(time.RFC3339), err)
-		}
-	}
-	st.finalize()
-	metricSimRuns.Inc()
-	metricSimSats.Add(int64(len(st.result.Sats)))
-	metricSimSamples.Add(int64(len(st.result.Samples)))
-	return st.result, nil
+	// Re-chunk before the plan is shared: only the fleet size was unknown.
+	plan.chunkSize = autoChunkSize(plan.TotalSats(), parallel.Workers(cfg.Parallelism))
+	return runChunked(ctx, plan, weather)
 }
 
-// validateConfig is the shared precondition check for Run and PlanChunks.
+// validateConfig is the configuration check behind PlanChunks (and so Run).
 func validateConfig(cfg Config) error {
 	if cfg.Hours <= 0 {
 		return fmt.Errorf("constellation: Hours must be positive, got %d", cfg.Hours)
@@ -204,42 +159,20 @@ func childSeed(seed int64, catalog int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// simState carries the mutable run state.
+// simState carries the mutable state of one chunk's run.
 type simState struct {
-	cfg Config
-	// pool amortizes the per-hour fan-out's telemetry: one tally per
-	// step, one registry flush per run (the step itself is ~µs-scale,
-	// where per-call atomics are measurable).
-	pool        *parallel.Runner
+	cfg         Config
 	start       time.Time
 	scripts     map[int][]ScriptedEvent
 	sats        []*sat
 	nextCatalog int
 	result      *Result
-
-	// stepFn is the per-satellite worker body, built once in Run. The
-	// hourly fan-out reuses it so the hot loop does not allocate a fresh
-	// closure every step; the step parameters travel via the step* fields,
-	// which the coordinator writes before the fan-out and workers only read.
-	stepFn        func(i int) error
-	stepNow       time.Time
-	stepD         units.NanoTesla
-	stepStorm     bool
-	stepDuck      bool
-	stepIntensity float64
-}
-
-// seedInitialFleet creates cfg.InitialFleet satellites already on station.
-func (st *simState) seedInitialFleet() {
-	for i := 0; i < st.cfg.InitialFleet; i++ {
-		st.seedInitialSat(i)
-	}
 }
 
 // seedInitialSat creates the i-th initial-fleet satellite (i is the global
-// initial-fleet ordinal, which fixes the shell assignment). The chunked
-// runner calls this for exactly the ordinals its chunk owns, so the creation
-// draws replay identically in both paths.
+// initial-fleet ordinal, which fixes the shell assignment). RunChunk calls
+// this for exactly the ordinals its chunk owns, so the creation draws are the
+// same at every chunk size.
 func (st *simState) seedInitialSat(i int) {
 	shellIdx := i % len(st.cfg.Shells)
 	shell := st.cfg.Shells[shellIdx]
@@ -256,9 +189,7 @@ func (st *simState) seedInitialSat(i int) {
 	st.sats = append(st.sats, s)
 }
 
-// resolveLaunch applies the zero-means-default rules a Launch carries. Both
-// Run and the chunk planner resolve through this one function so the two
-// paths can never drift.
+// resolveLaunch applies the zero-means-default rules a Launch carries.
 func resolveLaunch(cfg *Config, l Launch) (shellIdx int, stagingAlt, stagingDays float64) {
 	stagingAlt = l.StagingAltKm
 	if stagingAlt == 0 {
@@ -275,17 +206,8 @@ func resolveLaunch(cfg *Config, l Launch) (shellIdx int, stagingAlt, stagingDays
 	return shellIdx, stagingAlt, stagingDays
 }
 
-// launch inserts one batch at the staging orbit.
-func (st *simState) launch(l Launch, now time.Time) {
-	shellIdx, stagingAlt, stagingDays := resolveLaunch(&st.cfg, l)
-	for i := 0; i < l.Count; i++ {
-		st.launchSat(shellIdx, stagingAlt, stagingDays, now)
-	}
-}
-
 // launchSat creates one launched satellite at the staging orbit with
-// already-resolved batch parameters — the per-satellite creation unit shared
-// by Run and the chunked runner.
+// already-resolved batch parameters.
 func (st *simState) launchSat(shellIdx int, stagingAlt, stagingDays float64, now time.Time) {
 	s := st.newSat(shellIdx, now, stagingAlt)
 	s.phase = PhaseStaging
@@ -296,7 +218,7 @@ func (st *simState) launchSat(shellIdx int, stagingAlt, stagingDays float64, now
 }
 
 // newSat builds a satellite with randomized plane geometry and drag factor.
-// Catalog numbers are assigned sequentially by the coordinator; every random
+// Catalog numbers are assigned sequentially in creation order; every random
 // property is drawn from the satellite's own child stream so creation order
 // and fleet composition cannot couple satellites to each other.
 func (st *simState) newSat(shellIdx int, launchedAt time.Time, stagingAlt float64) *sat {
@@ -327,11 +249,12 @@ func (st *simState) newSat(shellIdx int, launchedAt time.Time, stagingAlt float6
 	}
 }
 
-// step advances every satellite by one hour under Dst reading d. Satellites
-// are updated independently on the worker pool (each owns its state and its
-// RNG stream); the coordinator then collects the samples emitted this hour
-// in satellite order, so the archive layout is identical at every width.
+// step advances every satellite by one hour under Dst reading d, in creation
+// order, so the hour's samples are appended in satellite order.
 func (st *simState) step(ctx context.Context, now time.Time, d units.NanoTesla) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	enh := st.cfg.Atmosphere.Enhancement(d)
 	stormActive := d <= units.StormThreshold
 	// With proactive mitigation the operator suppresses storm casualties
@@ -343,26 +266,15 @@ func (st *simState) step(ctx context.Context, now time.Time, d units.NanoTesla) 
 		i := -float64(d) / 100
 		intensityScale = i * i
 	}
-
-	st.stepNow, st.stepD = now, d
-	st.stepStorm, st.stepDuck, st.stepIntensity = stormActive, duck, intensityScale
-	if err := st.pool.ForEach(ctx, len(st.sats), st.stepFn); err != nil {
-		return err
-	}
-
-	// Ordered merge of this hour's emissions (at most one per satellite).
 	for _, s := range st.sats {
-		if s.hasPending {
-			s.hasPending = false
-			st.result.Samples = append(st.result.Samples, s.pending)
-		}
+		st.stepSat(s, now, d, stormActive, duck, intensityScale)
 	}
 	return nil
 }
 
 // stepSat advances one satellite by one hour. It touches only s (state and
-// RNG stream) plus read-only run configuration, which is what makes the
-// per-step fan-out race-free and schedule-independent.
+// RNG stream), read-only run configuration and the archive tail, which is
+// what lets a chunk of satellites be simulated apart from the rest.
 func (st *simState) stepSat(s *sat, now time.Time, d units.NanoTesla, stormActive, duck bool, intensityScale float64) {
 	cfg := &st.cfg
 	atm := cfg.Atmosphere
@@ -585,8 +497,8 @@ func (s *sat) maRatePerHour() float64 {
 	return s.maRate
 }
 
-// emitSample buffers one tracking observation for the coordinator's ordered
-// collection at the end of the step, and schedules the next.
+// emitSample appends one tracking observation to the archive and schedules
+// the next.
 func (st *simState) emitSample(s *sat, now time.Time, d units.NanoTesla) {
 	cfg := &st.cfg
 	alt := s.altKm + s.rng.NormFloat64()*cfg.AltNoiseKm
@@ -600,7 +512,7 @@ func (st *simState) emitSample(s *sat, now time.Time, d units.NanoTesla) {
 	if s.phase == PhaseSafeMode || s.phase == PhaseDeorbiting {
 		drag *= 2.2
 	}
-	s.pending = Sample{
+	st.result.Samples = append(st.result.Samples, Sample{
 		Catalog:      int32(s.info.Catalog),
 		Epoch:        now.Unix(),
 		AltKm:        float32(alt),
@@ -610,8 +522,7 @@ func (st *simState) emitSample(s *sat, now time.Time, d units.NanoTesla) {
 		Eccentricity: float32(s.ecc + s.rng.Float64()*1e-5),
 		ArgPerigee:   float32(s.argp),
 		MeanAnomaly:  float32(s.meanAnomaly),
-	}
-	s.hasPending = true
+	})
 	// Refresh cadence: exponential around the mean, clamped to the observed
 	// <1 h .. 154 h range.
 	iv := s.rng.ExpFloat64() * cfg.MeanTLEIntervalHours

@@ -9,8 +9,8 @@ import (
 // serving-grade daemon and the streaming core: every parallel fan-out
 // must be cancellable from the caller. Concretely, in pipeline packages:
 //
-//  1. A function that invokes internal/parallel (ForEach, Map, Stream, or
-//     a Runner method) must declare a context.Context parameter — the
+//  1. A function that invokes internal/parallel (ForEach, Map or Stream)
+//     must declare a context.Context parameter — the
 //     fan-out's context has to come from outside, or a shutdown can never
 //     drain the workers.
 //  2. context.Background() and context.TODO() are banned: a fresh root

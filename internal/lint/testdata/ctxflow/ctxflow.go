@@ -25,17 +25,6 @@ func (r runner) fanOut(n int) error {
 	return parallel.ForEach(r.ctx, 2, n, func(i int) error { return nil }) // want `\(runner\)\.fanOut invokes internal/parallel but takes no context\.Context parameter`
 }
 
-// pool drives a Runner the same way — method calls on parallel types
-// count as fan-outs too.
-type pool struct {
-	ctx context.Context
-	r   *parallel.Runner
-}
-
-func (p pool) drain(n int) error {
-	return p.r.ForEach(p.ctx, n, func(i int) error { return nil }) // want `\(pool\)\.drain invokes internal/parallel but takes no context\.Context parameter`
-}
-
 // freshRoot severs the chain: a Background here can never be cancelled
 // from outside.
 func freshRoot() context.Context {

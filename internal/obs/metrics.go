@@ -246,28 +246,25 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
-
-// ObserveN records the value v as if observed n times in one shot: the
-// bucket, count, and sum land exactly where n Observe(v) calls would put
-// them. It exists so tight loops can tally observations in plain locals
-// and publish once (see parallel.Runner) instead of paying the atomic
-// CAS per iteration.
-func (h *Histogram) ObserveN(v float64, n int64) {
-	if n <= 0 || !h.on.Load() {
-		return
+func (h *Histogram) Observe(v float64) {
+	if h.on.Load() {
+		h.observe(v)
 	}
+}
+
+// observe records v unconditionally and returns the bucket it landed in.
+func (h *Histogram) observe(v float64) int {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(n)
-	h.count.Add(n)
+	h.counts[i].Add(1)
+	h.count.Add(1)
 	for {
 		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v*float64(n))
+		next := math.Float64bits(math.Float64frombits(old) + v)
 		if h.sum.CompareAndSwap(old, next) {
-			return
+			return i
 		}
 	}
 }
@@ -280,15 +277,10 @@ func (h *Histogram) ObserveExemplar(v float64, trace TraceID) {
 	if !h.on.Load() {
 		return
 	}
-	h.ObserveN(v, 1)
-	if trace == 0 {
-		return
+	i := h.observe(v)
+	if trace != 0 {
+		h.exemplars[i].Store(uint64(trace))
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.exemplars[i].Store(uint64(trace))
 }
 
 // Count returns how many observations the histogram holds.

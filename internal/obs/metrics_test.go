@@ -74,38 +74,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-// TestHistogramObserveN pins the amortization contract: ObserveN(v, n)
-// leaves the histogram exactly where n Observe(v) calls would.
-func TestHistogramObserveN(t *testing.T) {
-	r := obs.NewRegistry()
-	batched := r.Histogram("batched", []float64{1, 10})
-	single := r.Histogram("single", []float64{1, 10})
-	for _, obsv := range []struct {
-		v float64
-		n int64
-	}{{0.5, 3}, {10, 4}, {50, 2}} {
-		batched.ObserveN(obsv.v, obsv.n)
-		for i := int64(0); i < obsv.n; i++ {
-			single.Observe(obsv.v)
-		}
-	}
-	batched.ObserveN(99, 0)  // no-op
-	batched.ObserveN(99, -1) // no-op
-	if batched.Count() != single.Count() || batched.Sum() != single.Sum() {
-		t.Fatalf("ObserveN count/sum (%d, %v) != repeated Observe (%d, %v)",
-			batched.Count(), batched.Sum(), single.Count(), single.Sum())
-	}
-	snap := r.Snapshot()
-	if len(snap.Histograms) != 2 {
-		t.Fatalf("snapshot has %d histograms, want 2", len(snap.Histograms))
-	}
-	for i := range snap.Histograms[0].Counts {
-		if snap.Histograms[0].Counts[i] != snap.Histograms[1].Counts[i] {
-			t.Fatalf("bucket %d differs: %v vs %v", i, snap.Histograms[0].Counts, snap.Histograms[1].Counts)
-		}
-	}
-}
-
 func TestHistogramRelayoutPanics(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Histogram("sizes", []float64{1, 2})

@@ -1,6 +1,7 @@
 // Package parallel is the dependency-free worker pool behind CosmicDance's
-// fan-out stages: the per-satellite physics step, the per-track cleaning
-// pass, and the per-(event, track) association sweep.
+// fan-out stages: the per-chunk fleet simulation (Stream over satellite
+// chunks), the per-track cleaning pass, and the per-(event, track)
+// association sweep.
 //
 // The package is built around one invariant: parallel execution must be
 // indistinguishable from sequential execution. Work items are addressed by
@@ -81,12 +82,7 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	metricBatches.Inc()
 	metricTasks.Add(int64(n))
 	metricWidth.Observe(float64(workers))
-	return forEach(ctx, workers, n, fn)
-}
 
-// forEach is ForEach after knob resolution and telemetry: workers is
-// already clamped to [1, n] and nothing here counts anything.
-func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -138,65 +134,6 @@ func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 		return firstErr
 	}
 	return ctx.Err()
-}
-
-// Runner amortizes pool telemetry for loops that fan out many times per
-// logical operation — the constellation simulator calls into the pool
-// once per simulated hour, where even three atomic adds per call are
-// measurable against a ~2µs physics step. A Runner tallies batches and
-// tasks in plain locals and Flush publishes the totals in one shot, so
-// the final counter and histogram state is identical to per-call
-// ForEach instrumentation at none of the per-step cost.
-//
-// A Runner is coordinator state like the loop it serves: ForEach and
-// Flush must be called from one goroutine. Flush is idempotent between
-// batches; call it when the operation completes (a dropped Flush loses
-// telemetry, never correctness).
-type Runner struct {
-	workers int
-	batches map[int]int64 // clamped width -> batch count
-	tasks   int64
-}
-
-// NewRunner resolves a Parallelism knob (see Workers) into a Runner.
-func NewRunner(parallelism int) *Runner {
-	return &Runner{workers: Workers(parallelism), batches: make(map[int]int64)}
-}
-
-// Workers returns the resolved worker count the Runner fans out to.
-func (r *Runner) Workers() int { return r.workers }
-
-// ForEach is ForEach(ctx, r.Workers(), n, fn) with the telemetry
-// deferred to Flush.
-func (r *Runner) ForEach(ctx context.Context, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	w := r.workers
-	if w > n {
-		w = n
-	}
-	r.batches[w]++
-	r.tasks += int64(n)
-	return forEach(ctx, w, n, fn)
-}
-
-// Flush publishes the tally accumulated since the last Flush and resets
-// it. Counter adds commute, so the map's iteration order cannot reach
-// any output.
-func (r *Runner) Flush() {
-	var batches int64
-	for w, c := range r.batches {
-		metricWidth.ObserveN(float64(w), c)
-		batches += c
-	}
-	if batches == 0 {
-		return
-	}
-	metricBatches.Add(batches)
-	metricTasks.Add(r.tasks)
-	clear(r.batches)
-	r.tasks = 0
 }
 
 // Stream runs produce(i) for every i in [0, n) across at most workers

@@ -201,9 +201,8 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-// TestForEachManyRoundsNoLeak hammers the pool the way the simulator does —
-// one fan-out per hourly step, tens of thousands of steps — and checks the
-// goroutine count stays flat.
+// TestForEachManyRoundsNoLeak hammers the pool with thousands of short
+// fan-outs in a row and checks the goroutine count stays flat.
 func TestForEachManyRoundsNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 2_000; round++ {
@@ -212,105 +211,4 @@ func TestForEachManyRoundsNoLeak(t *testing.T) {
 		}
 	}
 	checkNoLeak(t, before)
-}
-
-func TestRunnerRunsEveryItemAndPropagatesErrors(t *testing.T) {
-	r := NewRunner(4)
-	if r.Workers() != 4 {
-		t.Fatalf("Workers() = %d, want 4", r.Workers())
-	}
-	var hits [64]atomic.Int64
-	if err := r.ForEach(context.Background(), len(hits), func(i int) error {
-		hits[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Fatalf("item %d ran %d times, want 1", i, got)
-		}
-	}
-	sentinel := errors.New("boom")
-	if err := r.ForEach(context.Background(), 8, func(i int) error {
-		if i == 3 {
-			return sentinel
-		}
-		return nil
-	}); !errors.Is(err, sentinel) {
-		t.Fatalf("error not propagated: %v", err)
-	}
-	if err := r.ForEach(context.Background(), 0, func(int) error {
-		t.Fatal("fn called for n=0")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var perr *PanicError
-	if err := r.ForEach(context.Background(), 1, func(int) error { panic("pow") }); !errors.As(err, &perr) {
-		t.Fatalf("panic not typed: %v", err)
-	}
-}
-
-// TestRunnerFlushMatchesForEachTelemetry pins the Runner's contract: after
-// Flush, the registry counters and width histogram hold exactly what the
-// same batches run through the per-call-instrumented ForEach would have
-// produced.
-func TestRunnerFlushMatchesForEachTelemetry(t *testing.T) {
-	ctx := context.Background()
-	nop := func(int) error { return nil }
-	type shot struct{ batches, tasks, hcount int64 }
-	grab := func() shot {
-		return shot{
-			batches: metricBatches.Value(),
-			tasks:   metricTasks.Value(),
-			hcount:  metricWidth.Count(),
-		}
-	}
-
-	// Reference: per-call instrumentation for 3 batches of 5 at width 2
-	// and 2 batches of 1 (clamped to width 1).
-	run := func(fe func(n, workers int)) (d shot) {
-		before := grab()
-		for i := 0; i < 3; i++ {
-			fe(5, 2)
-		}
-		for i := 0; i < 2; i++ {
-			fe(1, 2)
-		}
-		after := grab()
-		return shot{
-			batches: after.batches - before.batches,
-			tasks:   after.tasks - before.tasks,
-			hcount:  after.hcount - before.hcount,
-		}
-	}
-
-	ref := run(func(n, workers int) {
-		if err := ForEach(ctx, workers, n, nop); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	r := NewRunner(2)
-	got := run(func(n, _ int) {
-		if err := r.ForEach(ctx, n, nop); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got.batches != 0 || got.tasks != 0 || got.hcount != 0 {
-		t.Fatalf("Runner published before Flush: %+v", got)
-	}
-	before := grab()
-	r.Flush()
-	r.Flush() // idempotent between batches
-	after := grab()
-	got = shot{
-		batches: after.batches - before.batches,
-		tasks:   after.tasks - before.tasks,
-		hcount:  after.hcount - before.hcount,
-	}
-	if got != ref {
-		t.Fatalf("Flush deltas %+v != per-call ForEach deltas %+v", got, ref)
-	}
 }

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"cosmicdance/internal/artifact"
+	"cosmicdance/internal/constellation"
+	"cosmicdance/internal/obs"
 )
 
 func testSpec() Spec {
@@ -153,5 +155,30 @@ func TestPeakRSSBytes(t *testing.T) {
 	}
 	if n <= 0 {
 		t.Fatalf("peak RSS %d", n)
+	}
+}
+
+// TestStreamingCountsSimulatedSatellites proves the streaming path reports
+// the work it does: a chunked dataset build (which never calls
+// constellation.Run) still moves constellation_satellites_total by the
+// fleet size.
+func TestStreamingCountsSimulatedSatellites(t *testing.T) {
+	if !obs.Default().Enabled() {
+		t.Skip("default metrics registry disabled")
+	}
+	spec := testSpec()
+	wcfg, fcfg, ccfg := WeatherConfig(spec), FleetConfig(spec), CoreConfig()
+	plan, err := constellation.PlanChunks(fcfg, spec.ChunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sats := obs.Default().Counter("constellation_satellites_total")
+	before := sats.Value()
+	opts := artifact.ChunkedOptions{ChunkSize: spec.ChunkSize, InMemory: true}
+	if _, err := artifact.NewPipeline(nil).ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := sats.Value() - before; got != int64(plan.TotalSats()) {
+		t.Fatalf("constellation_satellites_total moved by %d, want %d", got, plan.TotalSats())
 	}
 }
