@@ -104,6 +104,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/tle
 	$(GO) test -run='^$$' -fuzz='^FuzzReader$$' -fuzztime=10s ./internal/tle
 	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=10s ./internal/tle
+	$(GO) test -run='^$$' -fuzz='^FuzzEncodeMatchesReference$$' -fuzztime=10s ./internal/tle
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRecord$$' -fuzztime=10s ./internal/dst
 	$(GO) test -run='^$$' -fuzz='^FuzzIndexRoundTrip$$' -fuzztime=10s ./internal/wdc
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=10s ./internal/artifact

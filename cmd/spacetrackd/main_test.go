@@ -153,6 +153,9 @@ func TestDaemonMetricsAndShutdownFlush(t *testing.T) {
 	for _, want := range []string{
 		`spacetrack_server_requests_total{endpoint="group"}`,
 		`spacetrack_server_requests_total{endpoint="healthz"}`,
+		`spacetrack_group_render_total{result="hit"}`,
+		`spacetrack_group_render_total{result="miss"}`,
+		`spacetrack_group_render_total{result="uncacheable"}`,
 		"constellation_runs_total",
 	} {
 		if !strings.Contains(string(body), want) {

@@ -25,16 +25,19 @@ var (
 // becomes the bottleneck.
 const catalogShards = 16
 
-// VersionedArchive is an Archive that can report a group's current version
-// and last-modified instant, the inputs of the server's conditional-fetch
-// validators (ETag / Last-Modified). Archives without versions get served
-// with clock-derived validators instead.
+// VersionedArchive is an Archive that can report a group's current version,
+// last-modified instant and horizon: the inputs of the server's
+// conditional-fetch validators (ETag / Last-Modified) and of its rendered
+// body cache. Archives without versions get served with clock-derived
+// validators and no cache instead.
 type VersionedArchive interface {
 	Archive
-	// GroupVersion returns the group's monotonically increasing version and
-	// the service-clock instant of its last mutation. ok is false for
-	// unknown groups.
-	GroupVersion(group string) (version uint64, lastMod time.Time, ok bool)
+	// GroupVersion returns the group's monotonically increasing version,
+	// the service-clock instant of its last mutation, and its horizon: the
+	// newest epoch the group can still reveal, so GroupLatest(group, at) is
+	// the same for every at >= horizon until the version changes. ok is
+	// false for unknown groups.
+	GroupVersion(group string) (version uint64, lastMod, horizon time.Time, ok bool)
 }
 
 // StreamingArchive is an Archive that can yield a history window one element
@@ -52,17 +55,25 @@ type StreamingArchive interface {
 // (catalog, epoch).
 //
 // Reads never block ingest and ingest never blocks reads: readers load one
-// atomic pointer per shard and walk immutable state, while the single
-// writer clones only the touched shard's index, merges, and swaps the
-// pointer. A reader that raced the swap simply serves the previous,
-// fully-consistent state.
+// atomic pointer and walk immutable state, while the single writer clones
+// only the touched shards' indexes and the group index, merges, and swaps
+// the pointer. A reader that raced the swap simply serves the previous,
+// fully-consistent state: the shards and the group versions a reader sees
+// always come from the same ingest.
 type Catalog struct {
-	base   Archive
-	shards [catalogShards]atomic.Pointer[shardState]
-	groups atomic.Pointer[groupState]
+	base  Archive
+	state atomic.Pointer[catalogState]
 
 	// mu serializes writers (Ingest); readers take no locks.
 	mu sync.Mutex
+}
+
+// catalogState is one immutable snapshot of the delta: the shards plus the
+// group index over them.
+type catalogState struct {
+	shards [catalogShards]*shardState
+	groups map[string]*groupMeta
+	names  []string // sorted; every indexed group
 }
 
 // shardState is one shard's immutable delta index. series maps catalog
@@ -72,77 +83,56 @@ type shardState struct {
 	series map[int][]*tle.TLE
 }
 
-// groupState is the immutable group index over the delta.
-type groupState struct {
-	byName map[string]*groupMeta
-	names  []string // sorted; delta groups only
-}
-
 // groupMeta is one group's delta membership and conditional-fetch state.
 type groupMeta struct {
 	cats    []int // sorted delta catalogs
 	version uint64
 	lastMod time.Time
+	horizon time.Time // newest epoch the group can reveal
 }
 
 // NewCatalog overlays copy-on-write shards on base. baseMod stamps the base
-// archive's last-modified instant (use the archive frontier); every group
-// starts at version 1.
+// archive's last-modified instant and frontier: base must hold no epoch
+// after it (use the end of the simulation window). Every group starts at
+// version 1.
 func NewCatalog(base Archive, baseMod time.Time) *Catalog {
 	c := &Catalog{base: base}
-	for i := range c.shards {
-		c.shards[i].Store(&shardState{series: map[int][]*tle.TLE{}})
+	st := &catalogState{groups: map[string]*groupMeta{}}
+	for i := range st.shards {
+		st.shards[i] = &shardState{series: map[int][]*tle.TLE{}}
 	}
-	gs := &groupState{byName: map[string]*groupMeta{}}
 	for _, g := range base.Groups() {
-		gs.byName[g] = &groupMeta{version: 1, lastMod: baseMod}
+		st.groups[g] = &groupMeta{version: 1, lastMod: baseMod, horizon: baseMod}
 	}
-	c.groups.Store(gs)
+	st.names = sortedKeys(st.groups)
+	c.state.Store(st)
 	return c
 }
 
-// shardFor maps a catalog number onto its shard.
-func (c *Catalog) shardFor(catalog int) *atomic.Pointer[shardState] {
-	return &c.shards[uint(catalog)%catalogShards]
+// series returns catalog's ingested element sets in st.
+func (st *catalogState) series(catalog int) []*tle.TLE {
+	return st.shards[uint(catalog)%catalogShards].series[catalog]
 }
 
 // Groups implements Archive: the base groups plus any groups created by
 // ingest, sorted and distinct.
 func (c *Catalog) Groups() []string {
-	base := c.base.Groups()
-	gs := c.groups.Load()
-	out := make([]string, 0, len(base)+len(gs.names))
-	out = append(out, base...)
-	for _, g := range gs.names {
-		found := false
-		for _, b := range base {
-			if b == g {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, g)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), c.state.Load().names...)
 }
 
 // GroupVersion implements VersionedArchive.
-func (c *Catalog) GroupVersion(group string) (uint64, time.Time, bool) {
-	gs := c.groups.Load()
-	m, ok := gs.byName[group]
+func (c *Catalog) GroupVersion(group string) (uint64, time.Time, time.Time, bool) {
+	m, ok := c.state.Load().groups[group]
 	if !ok {
-		return 0, time.Time{}, false
+		return 0, time.Time{}, time.Time{}, false
 	}
-	return m.version, m.lastMod, true
+	return m.version, m.lastMod, m.horizon, true
 }
 
 // latestDelta returns the newest ingested element set of catalog with epoch
 // not after at, or nil.
-func (c *Catalog) latestDelta(catalog int, at time.Time) *tle.TLE {
-	sets := c.shardFor(catalog).Load().series[catalog]
+func (st *catalogState) latestDelta(catalog int, at time.Time) *tle.TLE {
+	sets := st.series(catalog)
 	i := sort.Search(len(sets), func(i int) bool { return sets[i].Epoch.After(at) })
 	if i == 0 {
 		return nil
@@ -154,8 +144,8 @@ func (c *Catalog) latestDelta(catalog int, at time.Time) *tle.TLE {
 // delta's, the newer epoch winning per catalog, ordered by catalog number.
 func (c *Catalog) GroupLatest(group string, at time.Time) []*tle.TLE {
 	base := c.base.GroupLatest(group, at)
-	gs := c.groups.Load()
-	m := gs.byName[group]
+	st := c.state.Load()
+	m := st.groups[group]
 	if m == nil || len(m.cats) == 0 {
 		return base
 	}
@@ -172,7 +162,7 @@ func (c *Catalog) GroupLatest(group string, at time.Time) []*tle.TLE {
 			out = append(out, base[bi])
 			bi++
 		}
-		d := c.latestDelta(cat, at)
+		d := st.latestDelta(cat, at)
 		if bi < len(base) && base[bi].CatalogNumber == cat {
 			// Present in both tiers: the newer epoch wins, the delta on ties
 			// (an ingested set supersedes the boot archive's).
@@ -208,7 +198,7 @@ func (c *Catalog) History(catalog int, from, to time.Time) []*tle.TLE {
 // window and the delta window, yielding without materializing the union.
 func (c *Catalog) HistoryEach(catalog int, from, to time.Time, yield func(*tle.TLE) error) error {
 	base := c.base.History(catalog, from, to)
-	all := c.shardFor(catalog).Load().series[catalog]
+	all := c.state.Load().series(catalog)
 	lo := sort.Search(len(all), func(i int) bool { return !all[i].Epoch.Before(from) })
 	hi := sort.Search(len(all), func(i int) bool { return all[i].Epoch.After(to) })
 	delta := all[lo:hi]
@@ -249,9 +239,12 @@ func (c *Catalog) HistoryEach(catalog int, from, to time.Time, yield func(*tle.T
 
 // Ingest merges sets into group's delta at service time at, returning how
 // many (catalog, epoch) pairs were new. Duplicates of already-held pairs are
-// skipped, so replaying an ingest batch is idempotent. The group's version
-// bumps (and lastMod advances) even for an all-duplicate batch only when at
-// least one set applied, keeping conditional-fetch validators honest.
+// skipped, so replaying an ingest batch is idempotent. Versions bump (and
+// lastMod advances) only when at least one set applied, keeping
+// conditional-fetch validators honest: group's, and that of every other
+// group whose delta already holds an applied catalog, since its latest
+// sets change too. Each bumped group's horizon rises to the newest applied
+// epoch.
 func (c *Catalog) Ingest(group string, sets []*tle.TLE, at time.Time) int {
 	if len(sets) == 0 {
 		return 0
@@ -272,18 +265,21 @@ func (c *Catalog) Ingest(group string, sets []*tle.TLE, at time.Time) int {
 	}
 	sort.Slice(shardIDs, func(i, j int) bool { return shardIDs[i] < shardIDs[j] })
 
+	old := c.state.Load()
+	next := &catalogState{shards: old.shards, names: old.names}
 	applied := 0
 	newCats := map[int]bool{}
+	var newest time.Time
 	for _, sid := range shardIDs {
-		old := c.shards[sid].Load()
 		// Copy-on-write: clone the shard's index, share untouched series.
-		next := &shardState{series: make(map[int][]*tle.TLE, len(old.series)+len(byShard[sid]))}
-		for k, v := range old.series {
-			next.series[k] = v
+		prev := old.shards[sid]
+		shard := &shardState{series: make(map[int][]*tle.TLE, len(prev.series)+len(byShard[sid]))}
+		for k, v := range prev.series {
+			shard.series[k] = v
 		}
 		for _, t := range byShard[sid] {
 			cat := t.CatalogNumber
-			series := next.series[cat]
+			series := shard.series[cat]
 			i := sort.Search(len(series), func(i int) bool { return !series[i].Epoch.Before(t.Epoch) })
 			if i < len(series) && series[i].Epoch.Equal(t.Epoch) {
 				metricCatalogDupes.Inc()
@@ -294,34 +290,40 @@ func (c *Catalog) Ingest(group string, sets []*tle.TLE, at time.Time) int {
 			merged = append(merged, series[:i]...)
 			merged = append(merged, t)
 			merged = append(merged, series[i:]...)
-			next.series[cat] = merged
+			shard.series[cat] = merged
 			newCats[cat] = true
+			if t.Epoch.After(newest) {
+				newest = t.Epoch
+			}
 			applied++
 		}
-		c.shards[sid].Store(next)
+		next.shards[sid] = shard
 	}
 	metricCatalogApplied.Add(int64(applied))
 	if applied == 0 {
 		return 0
-	}
-
-	// Publish the new group index: merged membership, bumped version.
-	oldGS := c.groups.Load()
-	nextGS := &groupState{byName: make(map[string]*groupMeta, len(oldGS.byName)+1)}
-	for k, v := range oldGS.byName {
-		nextGS.byName[k] = v
-	}
-	old := nextGS.byName[group]
-	meta := &groupMeta{version: 1, lastMod: at}
-	if old != nil {
-		meta.version = old.version + 1
-		meta.cats = old.cats
 	}
 	added := make([]int, 0, len(newCats))
 	for cat := range newCats {
 		added = append(added, cat)
 	}
 	sort.Ints(added)
+
+	// Publish the new group index: merged membership, bumped versions.
+	next.groups = make(map[string]*groupMeta, len(old.groups)+1)
+	for name, m := range old.groups {
+		if name != group && !sharesCatalog(m.cats, added) {
+			next.groups[name] = m
+			continue
+		}
+		next.groups[name] = m.bumped(at, newest)
+	}
+	meta := next.groups[group]
+	if meta == nil {
+		meta = &groupMeta{version: 1, lastMod: at, horizon: newest}
+		next.groups[group] = meta
+		next.names = sortedKeys(next.groups)
+	}
 	cats := append([]int(nil), meta.cats...)
 	for _, cat := range added {
 		i := sort.SearchInts(cats, cat)
@@ -333,15 +335,45 @@ func (c *Catalog) Ingest(group string, sets []*tle.TLE, at time.Time) int {
 		cats[i] = cat
 	}
 	meta.cats = cats
-	nextGS.byName[group] = meta
-	names := make([]string, 0, len(nextGS.byName))
-	for name := range nextGS.byName {
+	c.state.Store(next)
+	return applied
+}
+
+// bumped returns a copy of m one version on, modified at at, with its
+// horizon raised to newest.
+func (m *groupMeta) bumped(at, newest time.Time) *groupMeta {
+	n := *m
+	n.version++
+	n.lastMod = at
+	if newest.After(n.horizon) {
+		n.horizon = newest
+	}
+	return &n
+}
+
+// sharesCatalog reports whether the sorted lists a and b intersect.
+func sharesCatalog(a, b []int) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// sortedKeys returns the group names of an index, sorted.
+func sortedKeys(groups map[string]*groupMeta) []string {
+	names := make([]string, 0, len(groups))
+	for name := range groups {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	nextGS.names = names
-	c.groups.Store(nextGS)
-	return applied
+	return names
 }
 
 // DeltaSets reports how many ingested element sets the delta currently
@@ -349,8 +381,8 @@ func (c *Catalog) Ingest(group string, sets []*tle.TLE, at time.Time) int {
 // load harness ("zero dropped ingests").
 func (c *Catalog) DeltaSets() int {
 	n := 0
-	for i := range c.shards {
-		for _, series := range c.shards[i].Load().series {
+	for _, shard := range c.state.Load().shards {
+		for _, series := range shard.series {
 			n += len(series)
 		}
 	}

@@ -44,10 +44,10 @@ func TestCatalogServesBaseUnchanged(t *testing.T) {
 	if len(gotHist) != len(wantHist) {
 		t.Fatalf("History = %d sets, want %d", len(gotHist), len(wantHist))
 	}
-	if v, _, ok := cat.GroupVersion("starlink"); !ok || v != 1 {
+	if v, _, _, ok := cat.GroupVersion("starlink"); !ok || v != 1 {
 		t.Fatalf("GroupVersion = %d,%v, want 1,true", v, ok)
 	}
-	if _, _, ok := cat.GroupVersion("oneweb"); ok {
+	if _, _, _, ok := cat.GroupVersion("oneweb"); ok {
 		t.Fatal("unknown group reported a version")
 	}
 }
@@ -78,7 +78,7 @@ func TestCatalogIngestVisibilityAndVersions(t *testing.T) {
 	if h := cat.History(90001, stStart, end); len(h) != 1 {
 		t.Fatalf("ingested history = %d sets, want 1", len(h))
 	}
-	v, mod, _ := cat.GroupVersion("starlink")
+	v, mod, _, _ := cat.GroupVersion("starlink")
 	if v != 2 || !mod.Equal(end) {
 		t.Fatalf("post-ingest version = %d@%v, want 2@%v", v, mod, end)
 	}
@@ -87,7 +87,7 @@ func TestCatalogIngestVisibilityAndVersions(t *testing.T) {
 	if n := cat.Ingest("starlink", []*tle.TLE{fresh}, end.Add(time.Hour)); n != 0 {
 		t.Fatalf("duplicate ingest applied %d, want 0", n)
 	}
-	if v2, _, _ := cat.GroupVersion("starlink"); v2 != 2 {
+	if v2, _, _, _ := cat.GroupVersion("starlink"); v2 != 2 {
 		t.Fatalf("all-duplicate batch bumped version to %d", v2)
 	}
 
@@ -137,8 +137,46 @@ func TestCatalogIngestNewGroup(t *testing.T) {
 	if sets := cat.GroupLatest("oneweb", end); len(sets) != 1 || sets[0].CatalogNumber != 70001 {
 		t.Fatalf("new group latest = %+v", sets)
 	}
-	if v, _, ok := cat.GroupVersion("oneweb"); !ok || v != 1 {
+	if v, _, _, ok := cat.GroupVersion("oneweb"); !ok || v != 1 {
 		t.Fatalf("new group version = %d,%v", v, ok)
+	}
+}
+
+// TestCatalogVersionsFollowContent: a version must change whenever the
+// group's latest sets can, and the horizon must cover every ingested
+// epoch. An ingest into one group that supersedes a catalog another
+// group's delta holds changes that group too, so it bumps both.
+func TestCatalogVersionsFollowContent(t *testing.T) {
+	archive, _, end := buildArchive(t, 5)
+	cat := NewCatalog(archive, end)
+	template := archive.GroupLatest("starlink", end)[0]
+	if _, _, h, _ := cat.GroupVersion("starlink"); !h.Equal(end) {
+		t.Fatalf("base horizon = %v, want the frontier %v", h, end)
+	}
+
+	future := end.Add(time.Hour)
+	cat.Ingest("starlink", []*tle.TLE{cloneSet(template, 70001, future)}, end)
+	if v, _, h, _ := cat.GroupVersion("starlink"); v != 2 || !h.Equal(future) {
+		t.Fatalf("after a future-epoch ingest: version %d horizon %v, want 2 and %v", v, h, future)
+	}
+	cat.Ingest("starlink", []*tle.TLE{cloneSet(template, 70002, end.Add(-time.Hour))}, end)
+	if v, _, h, _ := cat.GroupVersion("starlink"); v != 3 || !h.Equal(future) {
+		t.Fatalf("an older epoch moved the horizon: version %d horizon %v", v, h)
+	}
+
+	// 70001 lands in oneweb too: starlink's latest set for it changes.
+	later := future.Add(time.Hour)
+	cat.Ingest("oneweb", []*tle.TLE{cloneSet(template, 70001, later)}, end.Add(time.Minute))
+	if v, mod, h, _ := cat.GroupVersion("starlink"); v != 4 || !mod.Equal(end.Add(time.Minute)) || !h.Equal(later) {
+		t.Fatalf("shared catalog: starlink version %d lastMod %v horizon %v, want 4, %v, %v", v, mod, h, end.Add(time.Minute), later)
+	}
+	if v, _, h, _ := cat.GroupVersion("oneweb"); v != 1 || !h.Equal(later) {
+		t.Fatalf("new group: version %d horizon %v", v, h)
+	}
+	// A catalog no other group holds leaves starlink alone.
+	cat.Ingest("oneweb", []*tle.TLE{cloneSet(template, 70003, end)}, end.Add(2*time.Minute))
+	if v, _, _, _ := cat.GroupVersion("starlink"); v != 4 {
+		t.Fatalf("unrelated oneweb ingest bumped starlink to %d", v)
 	}
 }
 

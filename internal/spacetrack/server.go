@@ -1,6 +1,7 @@
 package spacetrack
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
@@ -29,6 +30,13 @@ var (
 	metricServedHealthz = obs.Default().Counter("spacetrack_server_requests_total", "endpoint", "healthz")
 	metricRateLimited   = obs.Default().Counter("spacetrack_server_ratelimited_total")
 	metricNotModified   = obs.Default().Counter("spacetrack_server_not_modified_total")
+
+	// One group-body lookup per full group read: served from the render
+	// cache, rendered and cached, or rendered without caching (future
+	// epochs still pending, or an unversioned archive).
+	metricRenderHit         = obs.Default().Counter("spacetrack_group_render_total", "result", "hit")
+	metricRenderMiss        = obs.Default().Counter("spacetrack_group_render_total", "result", "miss")
+	metricRenderUncacheable = obs.Default().Counter("spacetrack_group_render_total", "result", "uncacheable")
 
 	metricAdmitted = map[string]*obs.Counter{}
 	metricLatency  = map[string]*obs.Histogram{}
@@ -78,6 +86,11 @@ type IngestArchive interface {
 // requests (If-None-Match / If-Modified-Since) answer 304 without a body.
 // Responses are gzip-compressed when the client accepts it, and history
 // windows stream element set by element set when the archive supports it.
+//
+// Full group reads of a VersionedArchive are rendered once per group
+// version: the body for each (group, FORMAT, encoding) is kept until an
+// ingest bumps the version, once the service clock has passed the group's
+// horizon so the body can no longer change with time.
 type Server struct {
 	archive Archive
 	// Now reports the service's current time (the frontier of the archive);
@@ -135,6 +148,23 @@ type Server struct {
 	mu       sync.Mutex
 	clients  map[string]*bucket
 	capacity bucket
+
+	// renders holds the newest rendered body per key; guarded by renderMu.
+	renderMu sync.Mutex
+	renders  map[renderKey]renderedBody
+}
+
+// renderKey names one cached group body: a group in one FORMAT ("3le",
+// "tle" or "json"), gzip-compressed or identity.
+type renderKey struct {
+	group, format string
+	gzip          bool
+}
+
+// renderedBody is a group body rendered at one group version.
+type renderedBody struct {
+	version uint64
+	body    []byte
 }
 
 // bucket is one token bucket's mutable state, guarded by Server.mu.
@@ -217,7 +247,7 @@ func (s *Server) Health() HealthStatus {
 		groups := append([]string(nil), s.archive.Groups()...)
 		sort.Strings(groups)
 		for _, g := range groups {
-			if v, mod, known := va.GroupVersion(g); known {
+			if v, mod, _, known := va.GroupVersion(g); known {
 				hs.Groups = append(hs.Groups, GroupHealth{
 					Group:     g,
 					Version:   v,
@@ -447,30 +477,68 @@ func (s *Server) admit(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// validators computes a group's conditional-fetch validators: the ETag folds
-// in the group's version and the clock quantum (new samples become visible
-// as the service clock advances, even without ingest), and Last-Modified is
-// the later of the group's last mutation and the quantum boundary.
-func (s *Server) validators(group string) (etag string, lastMod time.Time) {
-	cut := s.now().Truncate(s.granularity())
-	version := uint64(1)
-	var mod time.Time
-	if va, ok := s.archive.(VersionedArchive); ok {
-		if v, m, known := va.GroupVersion(group); known {
-			version, mod = v, m
-		}
-	}
-	if mod.Before(cut) {
-		mod = cut
-	}
-	return fmt.Sprintf("%q", fmt.Sprintf("%s-v%d-%d", group, version, cut.Unix())), mod
+// groupInfo is a group's catalog state as the server sees it.
+type groupInfo struct {
+	version          uint64
+	lastMod, horizon time.Time
+	versioned        bool // false: the archive keeps no versions
 }
 
-// notModified answers a conditional request against the validators,
-// preferring If-None-Match over If-Modified-Since per RFC 9110.
+// groupInfo reads the group's version, last mutation and horizon; an
+// unversioned archive reports version 1 and nothing else.
+func (s *Server) groupInfo(group string) groupInfo {
+	if va, ok := s.archive.(VersionedArchive); ok {
+		if v, m, h, known := va.GroupVersion(group); known {
+			return groupInfo{version: v, lastMod: m, horizon: h, versioned: true}
+		}
+	}
+	return groupInfo{version: 1}
+}
+
+// pending reports whether the group holds epochs after now that later reads
+// will reveal without a version change.
+func (g groupInfo) pending(now time.Time) bool {
+	return g.versioned && now.Before(g.horizon)
+}
+
+// settled reports whether the group's latest sets no longer depend on the
+// clock: a versioned group with no epoch after now.
+func (g groupInfo) settled(now time.Time) bool {
+	return g.versioned && !now.Before(g.horizon)
+}
+
+// validators computes a group's conditional-fetch validators. Once the
+// service clock has passed the group's horizon, the ETag folds in the
+// version and the clock quantum (an unversioned archive reveals new samples
+// as the clock advances), and Last-Modified is the latest of the last
+// mutation, the horizon and the quantum boundary. While epochs are still
+// pending, the body can change at any instant, so both use the exact
+// service time.
+func (s *Server) validators(group string, now time.Time, g groupInfo) (etag string, lastMod time.Time) {
+	clock, lastMod := now.UnixNano(), now
+	if !g.pending(now) {
+		cut := now.Truncate(s.granularity())
+		clock, lastMod = cut.Unix(), g.lastMod
+		for _, t := range []time.Time{g.horizon, cut} {
+			if lastMod.Before(t) {
+				lastMod = t
+			}
+		}
+	}
+	return fmt.Sprintf("%q", fmt.Sprintf("%s-v%d-%d", group, g.version, clock)), lastMod
+}
+
+// notModified answers a conditional request against the validators per
+// RFC 9110: If-None-Match (a list of entity tags or "*", compared weakly)
+// takes precedence over If-Modified-Since.
 func notModified(r *http.Request, etag string, lastMod time.Time) bool {
-	if match := r.Header.Get("If-None-Match"); match != "" {
-		return match == etag
+	if match := r.Header.Values("If-None-Match"); len(match) > 0 {
+		for _, list := range match {
+			if etagListMatches(list, etag) {
+				return true
+			}
+		}
+		return false
 	}
 	if ims := r.Header.Get("If-Modified-Since"); ims != "" {
 		if t, err := http.ParseTime(ims); err == nil {
@@ -480,19 +548,89 @@ func notModified(r *http.Request, etag string, lastMod time.Time) bool {
 	return false
 }
 
+// etagListMatches reports whether the If-None-Match field value list holds
+// "*" or an entity tag weakly equal to etag: the opaque tags match, W/
+// prefixes ignored.
+func etagListMatches(list, etag string) bool {
+	etag = strings.TrimPrefix(etag, "W/")
+	for {
+		list = strings.TrimLeft(list, " \t,")
+		if list == "" {
+			return false
+		}
+		if list[0] == '*' {
+			return true
+		}
+		list = strings.TrimPrefix(list, "W/")
+		if list == "" || list[0] != '"' {
+			return false // malformed: no entity tag matches
+		}
+		end := strings.IndexByte(list[1:], '"')
+		if end < 0 {
+			return false
+		}
+		if list[:end+2] == etag {
+			return true
+		}
+		list = list[end+2:]
+	}
+}
+
+// acceptsGzip reports whether the Accept-Encoding field values admit gzip
+// (or its alias x-gzip) at a non-zero weight, directly or through "*".
+// Codings are matched case-insensitively; a missing or malformed weight
+// counts as 1 and 0 respectively.
+func acceptsGzip(r *http.Request) bool {
+	gzipQ, starQ := -1.0, -1.0
+	for _, field := range r.Header.Values("Accept-Encoding") {
+		for _, elem := range strings.Split(field, ",") {
+			coding, params, _ := strings.Cut(elem, ";")
+			q := 1.0
+			for _, p := range strings.Split(params, ";") {
+				k, v, ok := strings.Cut(strings.TrimSpace(p), "=")
+				if !ok || !strings.EqualFold(strings.TrimSpace(k), "q") {
+					continue
+				}
+				f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+				if err != nil || f < 0 || f > 1 {
+					f = 0
+				}
+				q = f
+			}
+			switch coding = strings.ToLower(strings.TrimSpace(coding)); coding {
+			case "gzip", "x-gzip":
+				gzipQ = max(gzipQ, q)
+			case "*":
+				starQ = max(starQ, q)
+			}
+		}
+	}
+	if gzipQ >= 0 {
+		return gzipQ > 0
+	}
+	return starQ > 0
+}
+
 // compressed negotiates gzip: it returns the body writer and a finish
 // function that must run after the body is complete.
 func compressed(w http.ResponseWriter, r *http.Request) (io.Writer, func() error) {
-	if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+	if !acceptsGzip(r) {
 		return w, func() error { return nil }
 	}
-	w.Header().Set("Content-Encoding", "gzip")
-	w.Header().Add("Vary", "Accept-Encoding")
+	setGzipHeaders(w)
 	zw := gzip.NewWriter(w)
 	return zw, zw.Close
 }
 
-// handleGroup serves the CelesTrak-style current catalog.
+// setGzipHeaders marks a response body as gzip-encoded.
+func setGzipHeaders(w http.ResponseWriter) {
+	w.Header().Set("Content-Encoding", "gzip")
+	w.Header().Add("Vary", "Accept-Encoding")
+}
+
+// handleGroup serves the CelesTrak-style current catalog. The body is built
+// in full before the status line goes out, so a render failure answers 500
+// instead of a truncated 200.
 func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 	group := r.URL.Query().Get("GROUP")
 	if group == "" {
@@ -500,7 +638,11 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	format := r.URL.Query().Get("FORMAT")
-	if format != "" && format != "tle" && format != "3le" && format != "json" {
+	switch format {
+	case "":
+		format = "3le"
+	case "tle", "3le", "json":
+	default:
 		http.Error(w, fmt.Sprintf("unsupported FORMAT %q", format), http.StatusBadRequest)
 		return
 	}
@@ -515,47 +657,151 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown group %q", group), http.StatusNotFound)
 		return
 	}
-	etag, lastMod := s.validators(group)
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Last-Modified", lastMod.UTC().Format(http.TimeFormat))
+	now := s.now()
+	info := s.groupInfo(group)
+	etag, lastMod := s.validators(group, now, info)
 	if notModified(r, etag, lastMod) {
+		w.Header().Set("ETag", etag)
+		w.Header().Set("Last-Modified", lastMod.UTC().Format(http.TimeFormat))
 		metricNotModified.Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	tr := obs.ReqTraceFrom(r.Context())
-	tr.StartSpan("catalog_read")
-	sets := s.archive.GroupLatest(group, s.now())
-	tr.EndSpan()
+	key := renderKey{group: group, format: format, gzip: acceptsGzip(r)}
+	body, info, err := s.groupBody(r, key, now, info)
+	if err != nil {
+		http.Error(w, "rendering group: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	// The validators name the version the body shows.
+	etag, lastMod = s.validators(group, now, info)
+	h := w.Header()
+	h.Set("ETag", etag)
+	h.Set("Last-Modified", lastMod.UTC().Format(http.TimeFormat))
 	if format == "json" {
 		// Space-Track's OMM JSON shape.
-		w.Header().Set("Content-Type", "application/json")
+		h.Set("Content-Type", "application/json")
+	} else {
+		h.Set("Content-Type", "text/plain; charset=utf-8")
+	}
+	if key.gzip {
+		setGzipHeaders(w)
+	}
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	// A short write is the client's problem; the status line is already out.
+	_, _ = w.Write(body)
+}
+
+// renderAttempts bounds the renders of one request that ingests keep
+// overtaking.
+const renderAttempts = 3
+
+// groupBody returns key's body as of now and the group state it shows. A
+// settled group (no epoch after now) is served from the render cache when
+// the cached body is of the group's current version, and cached after
+// rendering otherwise; a pending one is rendered every time. A render that
+// an ingest overtook is redone, so body and version always agree, and only
+// such bodies are cached. The request's catalog_read and gzip spans cover
+// rendering, so a cache hit records neither.
+func (s *Server) groupBody(r *http.Request, key renderKey, now time.Time, info groupInfo) ([]byte, groupInfo, error) {
+	if info.settled(now) {
+		s.renderMu.Lock()
+		e, ok := s.renders[key]
+		s.renderMu.Unlock()
+		if ok && e.version == info.version {
+			metricRenderHit.Inc()
+			return e.body, info, nil
+		}
+	}
+	tr := obs.ReqTraceFrom(r.Context())
+	var plain, body []byte
+	for attempt := 1; ; attempt++ {
+		tr.StartSpan("catalog_read")
+		sets := s.archive.GroupLatest(key.group, now)
+		tr.EndSpan()
 		tr.StartSpan("gzip")
-		defer tr.EndSpan()
-		out, finish := compressed(w, r)
-		if err := tle.WriteOMM(out, sets); err != nil {
-			return
+		var err error
+		plain, body, err = renderGroup(sets, key)
+		tr.EndSpan()
+		if err != nil {
+			return nil, info, err
 		}
-		if err := finish(); err != nil {
-			return
+		after := s.groupInfo(key.group)
+		if after.version == info.version {
+			break
 		}
+		if attempt == renderAttempts {
+			// Still racing ingests: the body shows some version after
+			// info's. Label it with info's, so a revalidating client
+			// refetches instead of keeping a body its validators overstate.
+			metricRenderUncacheable.Inc()
+			return body, info, nil
+		}
+		info = after
+	}
+	if !info.settled(now) {
+		metricRenderUncacheable.Inc()
+		return body, info, nil
+	}
+	metricRenderMiss.Inc()
+	s.renderMu.Lock()
+	s.storeLocked(key, info.version, body)
+	if key.gzip {
+		s.storeLocked(renderKey{group: key.group, format: key.format}, info.version, plain)
+	}
+	s.renderMu.Unlock()
+	return body, info, nil
+}
+
+// storeLocked caches body as key's rendering at version unless a newer
+// version's is already held. The caller holds renderMu.
+func (s *Server) storeLocked(key renderKey, version uint64, body []byte) {
+	if s.renders == nil {
+		s.renders = make(map[renderKey]renderedBody)
+	}
+	if cur, ok := s.renders[key]; ok && cur.version >= version {
 		return
 	}
-	if format == "tle" {
-		// 2LE: strip names.
-		sets = stripNames(sets)
+	s.renders[key] = renderedBody{version: version, body: body}
+}
+
+// renderGroup encodes sets in key's format, returning the identity body and
+// the body to send (the same bytes, or their gzip stream).
+func renderGroup(sets []*tle.TLE, key renderKey) (plain, body []byte, err error) {
+	if key.format == "json" {
+		var buf bytes.Buffer
+		err = tle.WriteOMM(&buf, sets)
+		plain = buf.Bytes()
+	} else {
+		plain, err = appendSets(make([]byte, 0, 160*len(sets)), sets, key.format == "3le")
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	tr.StartSpan("gzip")
-	defer tr.EndSpan()
-	out, finish := compressed(w, r)
-	if err := tle.Write(out, sets); err != nil {
-		// Too late for a status change; the client will see a short read.
-		return
+	if err != nil || !key.gzip {
+		return plain, plain, err
 	}
-	if err := finish(); err != nil {
-		return
+	var zb bytes.Buffer
+	zw := gzip.NewWriter(&zb)
+	if _, err := zw.Write(plain); err != nil {
+		return nil, nil, err
 	}
+	if err := zw.Close(); err != nil {
+		return nil, nil, err
+	}
+	return plain, zb.Bytes(), nil
+}
+
+// appendSets appends sets as TLE text: 3LE (name line first, when the set
+// has a name) or 2LE.
+func appendSets(dst []byte, sets []*tle.TLE, names bool) ([]byte, error) {
+	for _, t := range sets {
+		if names && t.Name != "" {
+			dst = append(append(dst, t.Name...), '\n')
+		}
+		var err error
+		if dst, err = t.AppendLines(dst); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // handleHistory serves the Space-Track-style windowed history, streaming
@@ -603,20 +849,28 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	tr.StartSpan("catalog_read")
 	defer tr.EndSpan()
 	out, finish := compressed(w, r)
+	// 2LE, one element set at a time through one reusable buffer.
+	var buf []byte
+	write := func(t *tle.TLE) error {
+		var err error
+		if buf, err = t.AppendLines(buf[:0]); err != nil {
+			return err
+		}
+		_, err = out.Write(buf)
+		return err
+	}
 	if sa, ok := s.archive.(StreamingArchive); ok {
-		one := make([]*tle.TLE, 1)
-		if err := sa.HistoryEach(catalog, from, to, func(t *tle.TLE) error {
-			c := *t
-			c.Name = ""
-			one[0] = &c
-			return tle.Write(out, one)
-		}); err != nil {
-			return
-		}
+		err = sa.HistoryEach(catalog, from, to, write)
 	} else {
-		if err := tle.Write(out, stripNames(s.archive.History(catalog, from, to))); err != nil {
-			return
+		for _, t := range s.archive.History(catalog, from, to) {
+			if err = write(t); err != nil {
+				break
+			}
 		}
+	}
+	if err != nil {
+		// Too late for a status change; the client will see a short read.
+		return
 	}
 	if err := finish(); err != nil {
 		return
@@ -673,15 +927,4 @@ func parseTimeParam(v string, def time.Time) (time.Time, error) {
 		return def, nil
 	}
 	return time.Parse(time.RFC3339, v)
-}
-
-// stripNames returns copies without the 3LE name line.
-func stripNames(sets []*tle.TLE) []*tle.TLE {
-	out := make([]*tle.TLE, len(sets))
-	for i, t := range sets {
-		c := *t
-		c.Name = ""
-		out[i] = &c
-	}
-	return out
 }

@@ -79,7 +79,11 @@ var ErrChecksum = errors.New("tle: checksum mismatch")
 
 // Checksum computes the NORAD mod-10 checksum of the first 68 characters:
 // digits count as their value, '-' counts as 1, everything else as 0.
-func Checksum(line string) int {
+func Checksum(line string) int { return checksum(line) }
+
+// checksum is Checksum over either form of a line, so the encoder can sum
+// the bytes it is appending.
+func checksum[T string | []byte](line T) int {
 	sum := 0
 	n := len(line)
 	if n > 68 {

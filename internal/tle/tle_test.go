@@ -289,8 +289,8 @@ func TestFormatExpField(t *testing.T) {
 		{5, " 50000+1"},
 	}
 	for _, c := range cases {
-		if got := formatExpField(c.in); got != c.want {
-			t.Errorf("formatExpField(%v) = %q, want %q", c.in, got, c.want)
+		if got := string(appendExpField(nil, c.in)); got != c.want {
+			t.Errorf("appendExpField(%v) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }

@@ -135,6 +135,7 @@ if [ "$FUZZ" = 1 ]; then
     fuzz ./internal/tle FuzzParse
     fuzz ./internal/tle FuzzReader
     fuzz ./internal/tle FuzzRoundTrip
+    fuzz ./internal/tle FuzzEncodeMatchesReference
     fuzz ./internal/dst FuzzParseRecord
     fuzz ./internal/wdc FuzzIndexRoundTrip
     fuzz ./internal/artifact FuzzSnapshotRoundTrip
